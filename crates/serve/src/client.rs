@@ -8,8 +8,12 @@
 //! ambiguity. Line-mode (v0) peers are *not* dialed by this client —
 //! v0 interop is the server's sniffed fallback, not the client's
 //! concern.
+//!
+//! TCP connections set `TCP_NODELAY`, and both halves are buffered:
+//! each call flushes once, so a request is one write and a pipelined
+//! batch of N requests is one write too (up to the buffer size).
 
-use std::io::{Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -20,7 +24,8 @@ use dream_sim::{FaultKind, SimTime};
 
 use crate::wire::de::DecodeError;
 use crate::wire::framed::{
-    negotiate, read_frame, read_hello, write_frame, write_hello, CLIENT_MAGIC, SERVER_MAGIC,
+    negotiate, put_frame, read_frame, read_hello, write_frame, write_hello, CLIENT_MAGIC,
+    SERVER_MAGIC,
 };
 use crate::wire::{
     CellOutcome, CellSpec, ErrorCode, Reply, Request, WireSnapshot, PROTOCOL_VERSION,
@@ -74,8 +79,8 @@ impl From<DecodeError> for ClientError {
 
 /// A connected, handshaken v1 peer.
 pub struct WireClient {
-    reader: Box<dyn Read + Send>,
-    writer: Box<dyn Write + Send>,
+    reader: BufReader<Box<dyn Read + Send>>,
+    writer: BufWriter<Box<dyn Write + Send>>,
     version: u16,
 }
 
@@ -87,6 +92,7 @@ impl WireClient {
     /// Connect/handshake failures as [`ClientError::Io`].
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Self::handshake(Box::new(stream), Box::new(writer))
     }
@@ -103,9 +109,11 @@ impl WireClient {
     }
 
     fn handshake(
-        mut reader: Box<dyn Read + Send>,
-        mut writer: Box<dyn Write + Send>,
+        reader: Box<dyn Read + Send>,
+        writer: Box<dyn Write + Send>,
     ) -> Result<Self, ClientError> {
+        let mut reader = BufReader::new(reader);
+        let mut writer = BufWriter::new(writer);
         write_hello(&mut writer, CLIENT_MAGIC, PROTOCOL_VERSION)?;
         let theirs = read_hello(&mut reader, SERVER_MAGIC, &[])?;
         let version = negotiate(PROTOCOL_VERSION, theirs).map_err(std::io::Error::from)?;
@@ -183,9 +191,10 @@ impl WireClient {
         })
     }
 
-    /// Pipelines a batch of submissions: all request frames go out
-    /// before any reply is read (one round trip instead of N), then the
-    /// replies are collected in order.
+    /// Pipelines a batch of submissions: all request frames are
+    /// buffered and flushed together before any reply is read (one
+    /// write and one round trip instead of N), then the replies are
+    /// collected in order.
     ///
     /// # Errors
     ///
@@ -197,8 +206,9 @@ impl WireClient {
     ) -> Result<Vec<Result<(), ClientError>>, ClientError> {
         for &(pipeline, node, at) in batch {
             let request = Request::Submit { pipeline, node, at };
-            write_frame(&mut self.writer, &request.encode())?;
+            put_frame(&mut self.writer, &request.encode())?;
         }
+        self.writer.flush()?;
         let mut results = Vec::with_capacity(batch.len());
         for _ in batch {
             let payload = read_frame(&mut self.reader)?;

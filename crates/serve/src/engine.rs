@@ -122,8 +122,9 @@ pub struct MetricsSnapshot {
     pub shed: u64,
     /// Total requests rejected (capacity, invalid, or closed).
     pub rejected: u64,
-    /// Per-source admission-funnel counters.
-    pub sources: Vec<SourceStats>,
+    /// Per-source admission-funnel counters, shared with the ingress
+    /// until a counter next moves (publishing does not copy them).
+    pub sources: Arc<Vec<SourceStats>>,
     /// Pooled per-request sojourn percentiles, in ms (p50, p95, p99);
     /// `None` until something completes. Served from the bounded
     /// per-model [`Histogram`]s the engine maintains as completions are

@@ -116,7 +116,16 @@ struct Inner {
     capacity: usize,
     policy: AdmissionPolicy,
     closed: bool,
-    sources: Vec<SourceStats>,
+    /// Copy-on-write: published snapshots share it until a counter next
+    /// moves, so a snapshot costs O(1) however many sources registered.
+    sources: Arc<Vec<SourceStats>>,
+}
+
+impl Inner {
+    /// The counters of `source`, unshared from any snapshot first.
+    fn source(&mut self, source: SourceId) -> &mut SourceStats {
+        &mut Arc::make_mut(&mut self.sources)[source.0]
+    }
 }
 
 /// The shared bounded ingress queue (one per [`ServeEngine`]).
@@ -136,7 +145,7 @@ impl Ingress {
                 capacity,
                 policy,
                 closed: false,
-                sources: Vec::new(),
+                sources: Arc::new(Vec::new()),
             }),
             space: Condvar::new(),
         })
@@ -145,7 +154,7 @@ impl Ingress {
     pub(crate) fn register(self: &Arc<Self>, label: impl Into<String>) -> SourceId {
         let mut inner = self.lock();
         let id = SourceId(inner.sources.len());
-        inner.sources.push(SourceStats {
+        Arc::make_mut(&mut inner.sources).push(SourceStats {
             label: label.into(),
             ..SourceStats::default()
         });
@@ -158,10 +167,10 @@ impl Ingress {
 
     pub(crate) fn submit(&self, request: Request) -> Result<(), SubmitError> {
         let mut inner = self.lock();
-        inner.sources[request.source.0].submitted += 1;
+        inner.source(request.source).submitted += 1;
         loop {
             if inner.closed {
-                inner.sources[request.source.0].rejected_closed += 1;
+                inner.source(request.source).rejected_closed += 1;
                 return Err(SubmitError::Closed);
             }
             if inner.queue.len() < inner.capacity {
@@ -174,12 +183,12 @@ impl Ingress {
                 }
                 AdmissionPolicy::ShedOldest => {
                     let evicted = inner.queue.pop_front().expect("full queue is non-empty");
-                    inner.sources[evicted.source.0].shed += 1;
+                    inner.source(evicted.source).shed += 1;
                     inner.queue.push_back(request);
                     return Ok(());
                 }
                 AdmissionPolicy::Reject => {
-                    inner.sources[request.source.0].rejected_capacity += 1;
+                    inner.source(request.source).rejected_capacity += 1;
                     return Err(SubmitError::Full);
                 }
             }
@@ -205,14 +214,14 @@ impl Ingress {
 
     pub(crate) fn record_admitted(&self, source: SourceId, clamped: bool) {
         let mut inner = self.lock();
-        inner.sources[source.0].admitted += 1;
+        inner.source(source).admitted += 1;
         if clamped {
-            inner.sources[source.0].clamped += 1;
+            inner.source(source).clamped += 1;
         }
     }
 
     pub(crate) fn record_invalid(&self, source: SourceId) {
-        self.lock().sources[source.0].rejected_invalid += 1;
+        self.lock().source(source).rejected_invalid += 1;
     }
 
     /// Accounts a wire-level parse rejection: the line never became a
@@ -221,17 +230,17 @@ impl Ingress {
     /// funnel identity intact at every snapshot.
     pub(crate) fn record_wire_invalid(&self, source: SourceId) {
         let mut inner = self.lock();
-        inner.sources[source.0].submitted += 1;
-        inner.sources[source.0].rejected_invalid += 1;
+        inner.source(source).submitted += 1;
+        inner.source(source).rejected_invalid += 1;
     }
 
     /// Accounts a connection termination (exactly once per connection).
     pub(crate) fn record_disconnect(&self, source: SourceId) {
-        self.lock().sources[source.0].disconnects += 1;
+        self.lock().source(source).disconnects += 1;
     }
 
     pub(crate) fn record_closed_rejection(&self, source: SourceId) {
-        self.lock().sources[source.0].rejected_closed += 1;
+        self.lock().source(source).rejected_closed += 1;
     }
 
     /// Closes the queue: pending requests are rejected-as-closed and
@@ -240,7 +249,7 @@ impl Ingress {
         let mut inner = self.lock();
         inner.closed = true;
         while let Some(req) = inner.queue.pop_front() {
-            inner.sources[req.source.0].rejected_closed += 1;
+            inner.source(req.source).rejected_closed += 1;
         }
         drop(inner);
         self.space.notify_all();
@@ -251,15 +260,15 @@ impl Ingress {
     }
 
     pub(crate) fn stats(&self) -> Vec<SourceStats> {
-        self.lock().sources.clone()
+        self.lock().sources.to_vec()
     }
 
     /// Stats and backlog read under one lock acquisition, so the funnel
     /// identity (`sum(submitted) == sum(funnel_total()) + backlog`) holds
     /// in the returned pair even while submitters race the snapshot.
-    pub(crate) fn funnel_snapshot(&self) -> (Vec<SourceStats>, usize) {
+    pub(crate) fn funnel_snapshot(&self) -> (Arc<Vec<SourceStats>>, usize) {
         let inner = self.lock();
-        (inner.sources.clone(), inner.queue.len())
+        (Arc::clone(&inner.sources), inner.queue.len())
     }
 }
 

@@ -8,20 +8,23 @@
 //! * [`MAGIC_SENTINEL`](crate::wire::framed::MAGIC_SENTINEL) (`0xD7`)
 //!   opens the v1 framed handshake — typed requests, one reply frame
 //!   per request frame;
-//! * anything else falls back to the v0 line protocol, with the sniffed
-//!   byte re-injected so old peers work unmodified.
+//! * anything else falls back to the v0 line protocol; the sniff only
+//!   peeks, so old peers' bytes reach the line reader unmodified.
 //!
-//! Listeners poll with a short accept timeout so
-//! [`SocketServer::shutdown`] (or drop) stops them promptly. Both faces
+//! The transport adds no timer waits: accepted TCP streams set
+//! `TCP_NODELAY`, both faces buffer their reads and writes and flush
+//! before any read that could block (so a pipelined batch is answered
+//! in one write), and the accept loop blocks in `accept()` until
+//! [`SocketServer::shutdown`] (or drop) dials in to wake it. Both faces
 //! preserve the funnel identity `submitted == admitted + shed +
 //! rejected_* + backlog`: every malformed line or frame — including a
 //! truncated final line at peer disconnect — is accounted as exactly
 //! one `rejected_invalid`.
 
-use std::io::{BufRead, BufReader, Cursor, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -30,10 +33,10 @@ use std::time::Duration;
 use dream_models::{CascadeProbability, Scenario};
 
 use crate::engine::ServeHandle;
-use crate::ingress::SubmitError;
+use crate::ingress::{ChannelClient, SubmitError};
 use crate::wire::framed::{
-    self, read_exact_with, read_frame_with, write_frame, write_hello, ExactRead, FrameRead,
-    CLIENT_MAGIC, MAGIC_SENTINEL, SERVER_MAGIC,
+    self, is_poll_timeout, put_frame, read_exact_with, read_frame_with, write_hello, ExactRead,
+    FrameRead, CLIENT_MAGIC, MAGIC_SENTINEL, SERVER_MAGIC,
 };
 use crate::wire::{
     de::DecodeError, parse_line, parse_scenario_kind, CellOutcome, CellSpec, ErrorCode, Reply,
@@ -74,11 +77,18 @@ pub trait CellRunner: Send + Sync {
     ) -> Result<Vec<CellOutcome>, String>;
 }
 
+/// Where [`SocketServer`] dials to wake its blocked accept loop.
+enum WakeAddr {
+    Tcp(SocketAddr),
+    Unix(PathBuf),
+}
+
 /// A running socket listener; dropping it stops the accept loop (open
 /// connections drain on their own once the peer closes or the session
 /// ends).
 pub struct SocketServer {
     stop: Arc<AtomicBool>,
+    wake: WakeAddr,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -89,9 +99,20 @@ impl SocketServer {
     }
 
     fn stop_now(&mut self) {
+        let Some(thread) = self.accept_thread.take() else {
+            return;
+        };
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        // Wake the loop blocked in accept(); it sees `stop` and drops
+        // this connection unserved.
+        let woke = match &self.wake {
+            WakeAddr::Tcp(addr) => TcpStream::connect(addr).is_ok(),
+            WakeAddr::Unix(path) => UnixStream::connect(path).is_ok(),
+        };
+        // A loop nothing can reach (its socket file was removed) stays
+        // parked in accept() rather than hanging the caller.
+        if woke || thread.is_finished() {
+            let _ = thread.join();
         }
     }
 }
@@ -129,44 +150,17 @@ pub fn listen_tcp_with_runner(
 ) -> std::io::Result<(SocketAddr, SocketServer)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_stop = Arc::clone(&stop);
-    let handle = handle.clone();
-    let accept_thread = std::thread::spawn(move || {
-        let mut failures = 0u32;
-        while !accept_stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    failures = 0;
-                    let handle = handle.clone();
-                    let stop = Arc::clone(&accept_stop);
-                    let runner = runner.clone();
-                    std::thread::spawn(move || {
-                        let label = format!("tcp:{peer}");
-                        serve_connection(TcpTransport(stream), &handle, label, &stop, runner);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => {
-                    failures += 1;
-                    if failures >= ACCEPT_MAX_CONSECUTIVE_FAILURES {
-                        break;
-                    }
-                    std::thread::sleep(accept_backoff(failures));
-                }
-            }
-        }
+    // A wildcard bind is reachable on loopback of the same family.
+    let wake: SocketAddr = match local.ip() {
+        ip if !ip.is_unspecified() => local,
+        IpAddr::V4(_) => (Ipv4Addr::LOCALHOST, local.port()).into(),
+        IpAddr::V6(_) => (Ipv6Addr::LOCALHOST, local.port()).into(),
+    };
+    let server = spawn_accept_loop(handle, runner, WakeAddr::Tcp(wake), move || {
+        let (stream, peer) = listener.accept()?;
+        Ok((stream, format!("tcp:{peer}")))
     });
-    Ok((
-        local,
-        SocketServer {
-            stop,
-            accept_thread: Some(accept_thread),
-        },
-    ))
+    Ok((local, server))
 }
 
 /// Starts a Unix-domain-socket listener feeding `handle` at `path`
@@ -193,29 +187,46 @@ pub fn listen_unix_with_runner(
     let path = path.as_ref();
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
+    let label_base = path.display().to_string();
+    let wake = WakeAddr::Unix(path.to_path_buf());
+    let mut conn = 0usize;
+    Ok(spawn_accept_loop(handle, runner, wake, move || {
+        let (stream, _) = listener.accept()?;
+        conn += 1;
+        Ok((stream, format!("unix:{label_base}#{conn}")))
+    }))
+}
+
+/// Runs the blocking accept loop shared by both listener kinds on its
+/// own thread: `accept` blocks for the next connection and labels it,
+/// and each connection is served on a thread of its own.
+fn spawn_accept_loop<T: Transport>(
+    handle: &ServeHandle,
+    runner: Option<Arc<dyn CellRunner>>,
+    wake: WakeAddr,
+    mut accept: impl FnMut() -> io::Result<(T, String)> + Send + 'static,
+) -> SocketServer {
     let stop = Arc::new(AtomicBool::new(false));
     let accept_stop = Arc::clone(&stop);
     let handle = handle.clone();
-    let label_base = path.display().to_string();
     let accept_thread = std::thread::spawn(move || {
-        let mut conn = 0usize;
         let mut failures = 0u32;
-        while !accept_stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    conn += 1;
+        loop {
+            let accepted = accept();
+            // Shutdown's wake connection (and anything racing it) is
+            // dropped here, before it could register an ingress source.
+            if accept_stop.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
+                Ok((transport, label)) => {
                     failures = 0;
                     let handle = handle.clone();
                     let stop = Arc::clone(&accept_stop);
                     let runner = runner.clone();
-                    let label = format!("unix:{label_base}#{conn}");
                     std::thread::spawn(move || {
-                        serve_connection(UnixTransport(stream), &handle, label, &stop, runner);
+                        serve_connection(transport, &handle, label, &stop, runner);
                     });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
                 }
                 Err(_) => {
                     failures += 1;
@@ -227,66 +238,59 @@ pub fn listen_unix_with_runner(
             }
         }
     });
-    Ok(SocketServer {
+    SocketServer {
         stop,
+        wake,
         accept_thread: Some(accept_thread),
-    })
-}
-
-/// The two stream flavors, unified just enough for one connection loop.
-trait Transport {
-    fn split(self) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)>;
-    fn set_read_timeout(&self, dur: Duration) -> std::io::Result<()>;
-}
-
-struct TcpTransport(TcpStream);
-
-impl Transport for TcpTransport {
-    fn split(self) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
-        let writer = self.0.try_clone()?;
-        Ok((Box::new(self.0), Box::new(writer)))
-    }
-
-    fn set_read_timeout(&self, dur: Duration) -> std::io::Result<()> {
-        self.0.set_read_timeout(Some(dur))
     }
 }
 
-struct UnixTransport(UnixStream);
+/// The two stream flavors, unified just enough for one connection loop:
+/// `open` arms the [`READ_POLL`] timeout and splits the stream.
+trait Transport: Send + 'static {
+    fn open(self) -> io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)>;
+}
 
-impl Transport for UnixTransport {
-    fn split(self) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
-        let writer = self.0.try_clone()?;
-        Ok((Box::new(self.0), Box::new(writer)))
-    }
-
-    fn set_read_timeout(&self, dur: Duration) -> std::io::Result<()> {
-        self.0.set_read_timeout(Some(dur))
+impl Transport for TcpStream {
+    fn open(self) -> io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
+        // Replies are coalesced by the writer's buffer, never by Nagle.
+        self.set_nodelay(true)?;
+        self.set_read_timeout(Some(READ_POLL))?;
+        Ok((Box::new(self.try_clone()?), Box::new(self)))
     }
 }
 
-/// What the first-byte sniff decided for a fresh connection.
-enum Sniffed {
-    /// v1 framed peer (the sentinel byte has been consumed).
-    Framed,
-    /// v0 line peer; the consumed byte must be re-injected.
-    Line(u8),
-    /// The peer closed without sending anything.
-    Closed,
-    /// The server is shutting down.
-    Stopped,
+impl Transport for UnixStream {
+    fn open(self) -> io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
+        self.set_read_timeout(Some(READ_POLL))?;
+        Ok((Box::new(self.try_clone()?), Box::new(self)))
+    }
 }
 
-/// Reads the classifying first byte, tolerating read-timeout polls.
-fn sniff(reader: &mut dyn Read, stop: &AtomicBool) -> std::io::Result<Sniffed> {
-    let mut first = [0u8; 1];
-    match read_exact_with(reader, &mut first, true, &mut || {
-        !stop.load(Ordering::SeqCst)
-    })? {
-        ExactRead::Eof => Ok(Sniffed::Closed),
-        ExactRead::Stopped => Ok(Sniffed::Stopped),
-        ExactRead::Done if first[0] == MAGIC_SENTINEL => Ok(Sniffed::Framed),
-        ExactRead::Done => Ok(Sniffed::Line(first[0])),
+type ConnReader = BufReader<Box<dyn Read + Send>>;
+type ConnWriter = BufWriter<Box<dyn Write + Send>>;
+
+/// The coalescing rule both faces follow: replies stay buffered while
+/// more of the peer's requests are already buffered, and are flushed
+/// before any read that could block.
+fn flush_before_blocking_read(reader: &ConnReader, writer: &mut ConnWriter) -> io::Result<()> {
+    if reader.buffer().is_empty() {
+        writer.flush()?;
+    }
+    Ok(())
+}
+
+/// Peeks at the classifying first byte without consuming it,
+/// tolerating read-timeout polls. `None` when the peer closed without
+/// sending anything or the server is stopping.
+fn sniff(reader: &mut ConnReader, stop: &AtomicBool) -> io::Result<Option<u8>> {
+    loop {
+        match reader.fill_buf() {
+            Ok(buf) => return Ok(buf.first().copied()),
+            Err(e) if is_poll_timeout(&e) && !stop.load(Ordering::SeqCst) => {}
+            Err(e) if is_poll_timeout(&e) => return Ok(None),
+            Err(e) => return Err(e),
+        }
     }
 }
 
@@ -297,39 +301,40 @@ fn serve_connection<T: Transport>(
     stop: &AtomicBool,
     runner: Option<Arc<dyn CellRunner>>,
 ) {
-    if transport.set_read_timeout(READ_POLL).is_err() {
-        return;
-    }
-    let Ok((mut reader, mut writer)) = transport.split() else {
+    let Ok((reader, writer)) = transport.open() else {
         return;
     };
+    let mut reader = BufReader::new(reader);
+    let mut writer = BufWriter::new(writer);
     let client = handle.client(label);
     // Past this point every exit records exactly one disconnect against
     // the connection's source.
     match sniff(&mut reader, stop) {
-        Ok(Sniffed::Framed) => serve_framed(reader, writer, handle, &client, stop, runner),
-        Ok(Sniffed::Line(first)) => {
-            // Re-inject the sniffed byte ahead of the raw stream so the
-            // line reader sees the peer's bytes unmodified.
-            let chained = Cursor::new(vec![first]).chain(reader);
-            serve_lines(BufReader::new(chained), &mut writer, handle, &client, stop);
+        Ok(Some(MAGIC_SENTINEL)) => {
+            reader.consume(1);
+            serve_framed(&mut reader, &mut writer, handle, &client, stop, runner);
         }
-        Ok(Sniffed::Closed | Sniffed::Stopped) | Err(_) => {}
+        Ok(Some(_)) => serve_lines(&mut reader, &mut writer, handle, &client, stop),
+        Ok(None) | Err(_) => {}
     }
+    // A face may exit with its last reply still buffered (the error it
+    // sends before hanging up included).
+    let _ = writer.flush();
     client.ingress.record_disconnect(client.source);
 }
 
-/// The v0 line-protocol loop.
+/// The v0 line-protocol loop. Replies go into the buffered writer and
+/// leave at the next flush; each reply line is one write.
 fn serve_lines(
-    mut reader: impl BufRead,
-    writer: &mut dyn Write,
+    reader: &mut ConnReader,
+    writer: &mut ConnWriter,
     handle: &ServeHandle,
-    client: &crate::ingress::ChannelClient,
+    client: &ChannelClient,
     stop: &AtomicBool,
 ) {
     let mut line = String::new();
     loop {
-        if stop.load(Ordering::SeqCst) {
+        if stop.load(Ordering::SeqCst) || flush_before_blocking_read(reader, writer).is_err() {
             break;
         }
         // `read_line` appends any bytes it consumed *before* a timeout
@@ -341,28 +346,22 @@ fn serve_lines(
             // A line is complete only at its `\n`; Ok without one means
             // the stream ended mid-line — a truncated tail.
             Ok(_) => !line.ends_with('\n'),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if is_poll_timeout(&e) => {
                 // A peer trickling a terminator-free line through timeout
                 // windows must not balloon the buffer: over-length kills
                 // the connection (checked below too, for one-read blasts).
                 if line.len() > MAX_LINE_BYTES {
                     client.ingress.record_wire_invalid(client.source);
-                    let _ = writeln!(writer, "err line too long").and_then(|()| writer.flush());
+                    let _ = writeln!(writer, "err line too long");
                     break;
                 }
                 continue;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Non-UTF-8 bytes: the offending line was consumed off the
                 // stream, so reject it and keep serving the connection.
                 client.ingress.record_wire_invalid(client.source);
-                if writeln!(writer, "err invalid utf-8")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if writeln!(writer, "err invalid utf-8").is_err() {
                     break;
                 }
                 line.clear();
@@ -380,7 +379,7 @@ fn serve_lines(
         };
         if line.len() > MAX_LINE_BYTES {
             client.ingress.record_wire_invalid(client.source);
-            let _ = writeln!(writer, "err line too long").and_then(|()| writer.flush());
+            let _ = writeln!(writer, "err line too long");
             break;
         }
         if eof {
@@ -393,8 +392,7 @@ fn serve_lines(
                 .is_empty()
             {
                 client.ingress.record_wire_invalid(client.source);
-                let _ = writeln!(writer, "err {}", WireError::TruncatedLine)
-                    .and_then(|()| writer.flush());
+                let _ = writeln!(writer, "err {}", WireError::TruncatedLine);
             }
             break;
         }
@@ -437,10 +435,7 @@ fn serve_lines(
             }
         };
         if let Some(reply) = reply {
-            if writeln!(writer, "{reply}")
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
+            if writeln!(writer, "{reply}").is_err() {
                 break;
             }
         }
@@ -449,12 +444,13 @@ fn serve_lines(
 }
 
 /// The v1 framed-protocol loop: handshake, then one reply frame per
-/// request frame, in order (pipelining-safe).
+/// request frame, in order (pipelining-safe). Replies to a pipelined
+/// batch accumulate in the writer and leave together.
 fn serve_framed(
-    mut reader: Box<dyn Read + Send>,
-    mut writer: Box<dyn Write + Send>,
+    reader: &mut ConnReader,
+    writer: &mut ConnWriter,
     handle: &ServeHandle,
-    client: &crate::ingress::ChannelClient,
+    client: &ChannelClient,
     stop: &AtomicBool,
     runner: Option<Arc<dyn CellRunner>>,
 ) {
@@ -462,7 +458,7 @@ fn serve_framed(
     // answer with ours, and negotiate.
     let mut rest = [0u8; 5];
     let mut keep_going = || !stop.load(Ordering::SeqCst);
-    match read_exact_with(&mut reader, &mut rest, false, &mut keep_going) {
+    match read_exact_with(reader, &mut rest, false, &mut keep_going) {
         Ok(ExactRead::Done) => {}
         _ => {
             // A lone sentinel byte with no hello behind it is a malformed
@@ -476,7 +472,7 @@ fn serve_framed(
         return;
     }
     let theirs = u16::from_le_bytes([rest[3], rest[4]]);
-    if write_hello(&mut writer, SERVER_MAGIC, PROTOCOL_VERSION).is_err() {
+    if write_hello(writer, SERVER_MAGIC, PROTOCOL_VERSION).is_err() {
         return;
     }
     // Replies are shaped for the negotiated generation: a v1 peer gets
@@ -491,7 +487,10 @@ fn serve_framed(
     };
     let mut snapshots = handle.snapshots();
     loop {
-        let payload = match read_frame_with(&mut reader, &mut || !stop.load(Ordering::SeqCst)) {
+        if flush_before_blocking_read(reader, writer).is_err() {
+            break;
+        }
+        let payload = match read_frame_with(reader, &mut keep_going) {
             Ok(FrameRead::Frame(payload)) => payload,
             Ok(FrameRead::Eof | FrameRead::Stopped) => break,
             Err(e) => {
@@ -500,14 +499,14 @@ fn serve_framed(
                 // one rejected_invalid, try to say why, and hang up.
                 if matches!(
                     e.kind(),
-                    std::io::ErrorKind::InvalidData | std::io::ErrorKind::UnexpectedEof
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
                 ) {
                     client.ingress.record_wire_invalid(client.source);
                     let reply = Reply::Error {
                         code: ErrorCode::Malformed,
                         message: e.to_string(),
                     };
-                    let _ = write_frame(&mut writer, &reply.encode_versioned(version));
+                    let _ = put_frame(writer, &reply.encode_versioned(version));
                 }
                 break;
             }
@@ -531,7 +530,7 @@ fn serve_framed(
                 }
             }
         };
-        if write_frame(&mut writer, &reply.encode_versioned(version)).is_err() {
+        if put_frame(writer, &reply.encode_versioned(version)).is_err() {
             break;
         }
     }
@@ -541,7 +540,7 @@ fn serve_framed(
 fn execute(
     request: Request,
     handle: &ServeHandle,
-    client: &crate::ingress::ChannelClient,
+    client: &ChannelClient,
     snapshots: &mut crate::watch::WatchReceiver<crate::engine::MetricsSnapshot>,
     runner: Option<&dyn CellRunner>,
 ) -> Reply {

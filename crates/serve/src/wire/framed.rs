@@ -28,6 +28,14 @@
 //! tolerates `WouldBlock`/`TimedOut` poll timeouts by accumulating
 //! partial frames across calls, so servers keep their stop-flag
 //! responsiveness.
+//!
+//! On the write side a frame always leaves as **one contiguous write**
+//! — length prefix and payload together — so a frame never straddles
+//! two segments where Nagle's algorithm could hold the second back
+//! for the peer's delayed ACK. [`put_frame`] appends a frame without
+//! flushing, for buffered writers that coalesce several frames (a
+//! pipelined batch, or the replies to one) into a single write;
+//! [`write_frame`] is `put_frame` followed by a flush.
 
 use std::io::{self, Read, Write};
 
@@ -149,13 +157,15 @@ pub fn read_hello(r: &mut dyn Read, magic: [u8; 4], consumed: &[u8]) -> io::Resu
     Ok(u16::from_le_bytes([hello[4], hello[5]]))
 }
 
-/// Writes one frame: `[u32 LE len][payload]`.
+/// Appends one frame, `[u32 LE len][payload]`, to `w` as a single
+/// `write_all` and does **not** flush: behind a `BufWriter` several
+/// frames coalesce into one write at the next flush.
 ///
 /// # Errors
 ///
-/// [`FrameError::TooLong`] / [`FrameError::Empty`] as `InvalidData`,
-/// plus transport errors.
-pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
+/// [`FrameError::TooLong`] / [`FrameError::Empty`] as `InvalidData`
+/// (nothing is written), plus transport errors.
+pub fn put_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
     if payload.is_empty() {
         return Err(FrameError::Empty.into());
     }
@@ -165,9 +175,20 @@ pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
         }
         .into());
     }
-    let len = (payload.len() as u32).to_le_bytes();
-    w.write_all(&len)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)
+}
+
+/// Writes one frame, `[u32 LE len][payload]`, as one write and
+/// flushes: [`put_frame`] followed by `flush`.
+///
+/// # Errors
+///
+/// As [`put_frame`], plus flush errors.
+pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
+    put_frame(w, payload)?;
     w.flush()
 }
 
@@ -238,6 +259,15 @@ pub fn read_frame(r: &mut dyn Read) -> io::Result<Vec<u8>> {
     }
 }
 
+/// Whether a read error is a read-timeout poll (or a signal) rather
+/// than a transport failure: the read may simply be retried.
+pub(crate) fn is_poll_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
 pub(crate) enum ExactRead {
     Done,
     Eof,
@@ -265,14 +295,7 @@ pub(crate) fn read_exact_with(
                 ));
             }
             Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
+            Err(e) if is_poll_timeout(&e) => {
                 if !keep_going() {
                     return Ok(ExactRead::Stopped);
                 }
@@ -373,6 +396,73 @@ mod tests {
         let huge = vec![0u8; MAX_FRAME_BYTES + 1];
         assert!(write_frame(&mut Vec::new(), &huge).is_err());
         assert!(write_frame(&mut Vec::new(), &[]).is_err());
+    }
+
+    /// Counts the `write` and `flush` calls reaching it.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+        flushes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    fn reference_frame(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let payloads: [&[u8]; 3] = [&[0x01], b"hello world", &[0xAB; 300]];
+        let mut w = CountingWriter::default();
+        let mut expected = Vec::new();
+        for (i, payload) in payloads.iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, i + 1, "one write per frame");
+            assert_eq!(w.flushes, i + 1, "write_frame flushes");
+            expected.extend_from_slice(&reference_frame(payload));
+        }
+        assert_eq!(w.bytes, expected, "wire bytes are [u32 LE len][payload]");
+
+        // Refused frames write nothing.
+        assert!(write_frame(&mut w, &[]).is_err());
+        assert_eq!(w.writes, payloads.len());
+    }
+
+    #[test]
+    fn buffered_frames_coalesce_into_one_write() {
+        let mut w = io::BufWriter::new(CountingWriter::default());
+        let mut expected = Vec::new();
+        for i in 0..32u8 {
+            let payload = [0x02, i, i, i];
+            put_frame(&mut w, &payload).unwrap();
+            expected.extend_from_slice(&reference_frame(&payload));
+        }
+        assert_eq!(w.get_ref().writes, 0, "put_frame does not flush");
+        w.flush().unwrap();
+        let inner = w.get_ref();
+        assert_eq!(inner.writes, 1, "N frames reach the socket as one write");
+        assert_eq!(inner.bytes, expected);
+
+        // The bytes read back as the same frames.
+        let mut r = Cursor::new(expected);
+        for i in 0..32u8 {
+            assert_eq!(read_frame(&mut r).unwrap(), vec![0x02, i, i, i]);
+        }
     }
 
     #[test]

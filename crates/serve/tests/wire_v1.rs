@@ -750,3 +750,61 @@ fn framed_and_line_peers_share_a_listener() {
     assert!(write_frame(&mut sink, &vec![0u8; MAX_FRAME_BYTES + 1]).is_err());
     assert!(sink.is_empty());
 }
+
+/// A framing violation (a length prefix above [`MAX_FRAME_BYTES`]) is
+/// answered with one `Malformed` frame that reaches the peer before the
+/// server hangs up — the buffered writer flushes on that exit path too —
+/// and enters the funnel as exactly one `rejected_invalid`.
+#[test]
+fn oversize_frame_gets_a_malformed_reply_before_hang_up() {
+    let mut config = ServeConfig::new(
+        Platform::preset(PlatformPreset::Homo4kWs2),
+        Scenario::new(ScenarioKind::ArCall, CascadeProbability::default_paper()),
+    );
+    config.seed = 12;
+    config.clock = Arc::new(ManualClock::new());
+    config.tick = Duration::from_millis(1);
+    config.snapshot_every = 1;
+    let (engine, handle) =
+        ServeEngine::new(config, Box::new(DreamScheduler::new(DreamConfig::full()))).unwrap();
+    let server = std::thread::spawn(move || engine.run());
+    let (addr, socket_server) = listen_tcp(&handle, "127.0.0.1:0").unwrap();
+
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    raw.write_all(&[0xD7, 0x44, 0x52, 0x4D, 0x02, 0x00])
+        .unwrap();
+    let mut hello = [0u8; 6];
+    raw.read_exact(&mut hello).unwrap();
+    raw.write_all(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes())
+        .unwrap();
+    let payload = read_frame(&mut raw).unwrap();
+    match Reply::decode_versioned(&payload, PROTOCOL_VERSION).unwrap() {
+        Reply::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("expected malformed error, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "one reply, then EOF: {rest:?}");
+    drop(raw);
+
+    let mut snapshots = handle.snapshots();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while snapshots
+        .wait_for_update(Duration::from_millis(50))
+        .is_none_or(|s| s.sources.iter().all(|s| s.disconnects == 0))
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "hang-up never recorded"
+        );
+    }
+    handle.drain();
+    let report = server.join().unwrap().unwrap();
+    socket_server.shutdown();
+    assert_eq!(report.sources.len(), 1);
+    let source = &report.sources[0];
+    assert_eq!(source.rejected_invalid, 1);
+    assert_eq!(source.submitted, source.funnel_total());
+    assert_eq!(source.disconnects, 1);
+}
